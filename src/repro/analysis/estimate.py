@@ -163,11 +163,12 @@ def try_estimate(
     The trial archive (:mod:`repro.obs.archive`) records either the
     estimate or the exact refusal for every evaluated config; returning
     the refusal as ``"ErrorType: message"`` keeps that record a pure,
-    serializable function of the plan.
+    serializable function of the plan.  Families outside the emitter set
+    (``lower_plan`` raises ``TypeError`` for them) are refusals too.
     """
     try:
         return estimate_plan(plan, device, grid_shape), None
-    except ReproError as exc:
+    except (ReproError, TypeError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 

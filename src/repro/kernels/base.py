@@ -6,6 +6,9 @@ plus its launch configuration.  It must provide:
 * ``execute(...)`` — a numerically exact sweep (the correctness side);
 * ``block_workload(device, grid_shape)`` — the per-block/per-plane traffic,
   resources and instruction mix the timing model prices;
+* ``smem_bytes()`` — the shared-memory footprint per block, the single
+  source of ``BlockWorkload.smem_bytes`` and of the tuner's constraint
+  (iii) probe, which needs no traffic enumeration;
 * ``grid_workload(device, grid_shape)`` — block/plane/point counts
   (Eqn (6)).
 
@@ -41,7 +44,7 @@ class KernelPlan(abc.ABC):
     """Abstract kernel: one variant at one blocking configuration.
 
     Subclasses set ``family`` (e.g. ``"inplane"``) and ``variant`` (e.g.
-    ``"fullslice"``) and implement the three contract methods.
+    ``"fullslice"``) and implement the contract methods.
     """
 
     family: str = "abstract"
@@ -85,6 +88,11 @@ class KernelPlan(abc.ABC):
     @abc.abstractmethod
     def halo_radius(self) -> int:
         """Halo width this kernel needs per axis."""
+
+    @abc.abstractmethod
+    def smem_bytes(self) -> int:
+        """Shared-memory bytes per block; ``block_workload`` reports the
+        same value as ``BlockWorkload.smem_bytes``."""
 
     def grid_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]

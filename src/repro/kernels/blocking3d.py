@@ -57,6 +57,12 @@ class Blocking3DKernel(SymmetricKernelPlan):
         """Extra z-direction load factor (1 + 2r/TZ) over 2.5-D streaming."""
         return 1.0 + 2.0 * self.spec.radius / self.tz
 
+    def smem_bytes(self) -> int:
+        """The buffered working set holds 2r+1 planes at a time (a rolling
+        window through the 3D tile) — more than the 2.5-D single plane."""
+        r = self.spec.radius
+        return self.smem_tile_bytes(r, r) * (2 * r + 1)
+
     def block_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]
     ) -> BlockWorkload:
@@ -99,14 +105,10 @@ class Blocking3DKernel(SymmetricKernelPlan):
         # 3D blocking reads z-neighbours from shared memory too.
         reads = self.block.points_per_plane * (6 * r + 1) / WARP_SIZE
         writes = (tx + 2 * r) * (ty + 2 * r) * self.z_halo_factor() / WARP_SIZE
-        # The buffered working set holds 2r+1 planes at a time (a rolling
-        # window through the 3D tile) — more than the 2.5-D single plane.
-        smem_bytes = self.smem_tile_bytes(r, r) * (2 * r + 1)
-
         return BlockWorkload(
             threads_per_block=self.block.threads,
             regs_per_thread=self.estimate_registers(4),
-            smem_bytes=smem_bytes,
+            smem_bytes=self.smem_bytes(),
             elem_bytes=self.elem_bytes,
             points_per_plane=self.block.points_per_plane,
             flops_per_point=self.spec.flops_forward,

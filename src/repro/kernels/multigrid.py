@@ -21,7 +21,7 @@ from repro.errors import ConfigurationError, StencilDefinitionError
 from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import KIND_HALO, KIND_INTERIOR, KIND_WRITE, MemoryStats
-from repro.gpusim.smem import SmemAccessProfile, padded_pitch_words
+from repro.gpusim.smem import SmemAccessProfile
 from repro.gpusim.workload import BlockWorkload
 from repro.kernels.base import (
     ADDR_REGISTERS_PER_ELEM,
@@ -170,6 +170,16 @@ class MultiGridKernel(KernelPlan):
             )
         return float(flops)
 
+    def smem_bytes(self) -> int:
+        """One padded shared tile per grid with x/y halo taps; coefficient
+        volumes and z-only grids load straight to registers."""
+        total = 0
+        for g in range(self.expr.n_grids):
+            hx, hy, _hz = self.expr.halo_extent(g)
+            if hx or hy:
+                total += self.smem_tile_bytes(hx, hy)
+        return total
+
     def block_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]
     ) -> BlockWorkload:
@@ -183,7 +193,6 @@ class MultiGridKernel(KernelPlan):
 
         stats = MemoryStats(line_bytes=plain_layout.line_bytes)
         phases = 0
-        smem_bytes = 0
         smem_writes = 0.0
         smem_reads = 0.0
 
@@ -207,10 +216,7 @@ class MultiGridKernel(KernelPlan):
                 grid_shape, aligned_x=-hx if self.method == "inplane" else 0
             )
             phases += self._add_stencil_grid_loads(stats, grid_layout, hx, hy)
-            # Stencil grids stage through a shared tile.
-            width_words = ((tx + 2 * hx) * self.elem_bytes + 3) // 4
-            pitch = padded_pitch_words(width_words)
-            smem_bytes += pitch * 4 * (ty + 2 * hy)
+            # Stencil grids stage through a shared tile (see smem_bytes).
             smem_writes += (tx + 2 * hx) * (ty + 2 * hy) / WARP_SIZE
             taps_on_g = sum(
                 1
@@ -243,7 +249,7 @@ class MultiGridKernel(KernelPlan):
                 + self._register_state() * self.block.register_tile
                 + ADDR_REGISTERS_PER_ELEM * (self.block.register_tile - 1)
             ),
-            smem_bytes=smem_bytes,
+            smem_bytes=self.smem_bytes(),
             elem_bytes=self.elem_bytes,
             points_per_plane=self.block.points_per_plane,
             flops_per_point=self.flops_per_point(),

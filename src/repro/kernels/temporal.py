@@ -95,6 +95,16 @@ class TemporalInPlaneKernel(SymmetricKernelPlan):
     # ------------------------------------------------------------------
     # Contract
     # ------------------------------------------------------------------
+    def smem_bytes(self) -> int:
+        """The ghost-enlarged staged tile plus — the real capacity bound
+        on T — one (2r + 1)-plane window of intermediate values per extra
+        fused step, since every intermediate time slice is skewed along z
+        by 2r planes."""
+        r = self.spec.radius
+        return self.smem_tile_bytes(self.ghost(), self.ghost()) + (
+            self.time_steps - 1
+        ) * (2 * r + 1) * self.smem_tile_bytes(r, r)
+
     def block_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]
     ) -> BlockWorkload:
@@ -125,14 +135,8 @@ class TemporalInPlaneKernel(SymmetricKernelPlan):
         points = self.block.points_per_plane
         flops = self.spec.flops_inplane * inflation * self.time_steps
 
-        # Each fused step keeps its own partial queue and backward column,
-        # and — the real capacity bound on T — every intermediate time
-        # slice is skewed along z by 2r planes, so each must keep its own
-        # (2r + 1)-plane shared-memory window of intermediate values.
+        # Each fused step keeps its own partial queue and backward column.
         per_elem_state = (2 * r + 2) + (self.time_steps - 1) * (r + 2)
-        smem = self.smem_tile_bytes(g, g) + (self.time_steps - 1) * (
-            2 * r + 1
-        ) * self.smem_tile_bytes(r, r)
 
         reads = points * inflation * self.time_steps * (4 * r + 1) / WARP_SIZE
         writes = (
@@ -144,7 +148,7 @@ class TemporalInPlaneKernel(SymmetricKernelPlan):
         return BlockWorkload(
             threads_per_block=self.block.threads,
             regs_per_thread=self.estimate_registers(per_elem_state),
-            smem_bytes=smem,
+            smem_bytes=self.smem_bytes(),
             elem_bytes=self.elem_bytes,
             points_per_plane=points,
             flops_per_point=flops,

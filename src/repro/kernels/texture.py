@@ -40,6 +40,10 @@ class TexturePathKernel(SymmetricKernelPlan):
         r = self.spec.radius
         return (self.block.tile_x + 2 * r) * (self.block.tile_y + 2 * r)
 
+    def smem_bytes(self) -> int:
+        """No shared tile: neighbours come through the read-only cache."""
+        return 0
+
     def block_workload(
         self, device: DeviceSpec, grid_shape: tuple[int, int, int]
     ) -> BlockWorkload:
@@ -78,7 +82,7 @@ class TexturePathKernel(SymmetricKernelPlan):
         return BlockWorkload(
             threads_per_block=self.block.threads,
             regs_per_thread=self.estimate_registers(2 * r + 2),
-            smem_bytes=0,
+            smem_bytes=self.smem_bytes(),
             elem_bytes=self.elem_bytes,
             points_per_plane=points,
             flops_per_point=self.spec.flops_forward,

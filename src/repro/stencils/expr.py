@@ -15,7 +15,8 @@ flop counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from repro.errors import StencilDefinitionError
 
@@ -106,6 +107,30 @@ class StencilExpr:
         """Every tap across all outputs."""
         return [tap for out in self.outputs for tap in out.taps]
 
+    @cached_property
+    def _geometry(self) -> tuple[dict[int, Offset], dict[int, tuple[int, int]], int]:
+        """Per-grid halo extents, per-grid z extents and the radius, from
+        one scan of the taps on first use.
+
+        The expression is frozen, so the scan never goes stale; the result
+        lives outside the dataclass fields, so equality, hashing and
+        pickling (see ``__getstate__``) ignore it.
+        """
+        halo: dict[int, Offset] = {}
+        z: dict[int, tuple[int, int]] = {}
+        for tap in self.all_taps():
+            dx, dy, dz = tap.offset
+            hx, hy, hz = halo.get(tap.grid, (0, 0, 0))
+            halo[tap.grid] = (max(hx, abs(dx)), max(hy, abs(dy)), max(hz, abs(dz)))
+            back, fwd = z.get(tap.grid, (0, 0))
+            z[tap.grid] = (max(back, -dz), max(fwd, dz))
+        radius = max((max(ext) for ext in halo.values()), default=0)
+        return halo, z, radius
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle the declared fields only, never the cached geometry."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def halo_extent(self, grid: int) -> Offset:
         """Maximum |offset| per axis among taps reading ``grid``.
 
@@ -114,27 +139,15 @@ class StencilExpr:
         exactly why Hyperthermia's nine coefficient volumes dilute the
         in-plane method's advantage (section V-A).
         """
-        ext = [0, 0, 0]
-        for tap in self.all_taps():
-            if tap.grid == grid:
-                for axis in range(3):
-                    ext[axis] = max(ext[axis], abs(tap.offset[axis]))
-        return (ext[0], ext[1], ext[2])
+        return self._geometry[0].get(grid, (0, 0, 0))
 
     def radius(self) -> int:
         """Maximum halo extent over all grids and axes."""
-        return max(
-            (max(self.halo_extent(g)) for g in range(self.n_grids)), default=0
-        )
+        return self._geometry[2]
 
     def z_extent(self, grid: int) -> tuple[int, int]:
         """(max backward, max forward) z reach of taps on ``grid``."""
-        back = fwd = 0
-        for tap in self.all_taps():
-            if tap.grid == grid:
-                back = max(back, -tap.offset[2])
-                fwd = max(fwd, tap.offset[2])
-        return (back, fwd)
+        return self._geometry[1].get(grid, (0, 0))
 
     def stenciled_grids(self) -> list[int]:
         """Grids read with at least one non-centre tap."""

@@ -203,12 +203,18 @@ def feasible_configs(
     grid_shape: tuple[int, int, int],
     space: ParameterSpace | None = None,
 ) -> list[BlockConfig]:
-    """The constrained space for this kernel family on this device."""
+    """The constrained space for this kernel family on this device.
+
+    Constraint (iii) reads the plan's shared-memory footprint directly —
+    the same value ``block_workload`` reports — so the probe costs O(1)
+    per candidate instead of a full traffic enumeration.
+    """
     space = space or default_space()
 
     def smem_of(cfg: BlockConfig) -> int:
         plan = build(cfg)
-        return plan.block_workload(device, grid_shape).smem_bytes
+        plan.check_grid_shape(grid_shape)
+        return plan.smem_bytes()
 
     return space.feasible(device, grid_shape, smem_of)
 

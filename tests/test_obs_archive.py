@@ -21,7 +21,7 @@ from repro.gpusim.device import get_device
 from repro.gpusim.executor import simulate
 from repro.gpusim.faults import FaultPlan
 from repro.kernels.config import BlockConfig
-from repro.kernels.factory import make_kernel
+from repro.kernels.factory import KERNEL_FAMILIES, make_kernel
 from repro.obs.archive import (
     ArchiveError,
     ArchiveRecord,
@@ -139,6 +139,30 @@ class TestSchemaRoundTrip:
         assert validate_archive(good) == len(read_archive(good)[1])
 
 
+class TestEveryFamily:
+    @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+    def test_archived_tune_validates(self, tmp_path, family):
+        path = tmp_path / f"{family}.jsonl"
+        device = get_device(DEVICE)
+        with TrialArchive(path, session=family) as arc, archive_stream(arc):
+            exhaustive_tune(
+                lambda cfg: make_kernel(family, 2, cfg), device, GRID, SPACE
+            )
+        records = read_archive(path, strict=True)[1]
+        assert validate_archive(path) == len(records) > 0
+        measured = [r for r in records if r.measured]
+        assert measured
+        if family.startswith("inplane_") or family == "nvstencil":
+            assert all(r.estimate is not None for r in measured)
+        else:
+            # No access-plan lowering for this family: the estimator's
+            # refusal is archived instead of escaping the tune.
+            assert all(r.estimate is None for r in records)
+            assert all(
+                r.estimate_error.startswith("TypeError: ") for r in records
+            )
+
+
 class TestDeterminismContract:
     def test_jobs_1_vs_4_byte_identical(self, tmp_path):
         p1, p4 = tmp_path / "j1.jsonl", tmp_path / "j4.jsonl"
@@ -153,13 +177,13 @@ class TestDeterminismContract:
 
         def storm(jobs, name, *, resume=False, journal="journal.jsonl"):
             path = tmp_path / name
-            session = RobustTuningSession(
+            with RobustTuningSession(
                 device, GRID, faults=faults,
                 journal_path=tmp_path / journal, resume=resume,
                 jobs=jobs, worker_cap=4,
                 archive_path=path, session_key="storm",
-            )
-            session.run(fbuild, method="exhaustive", space=SPACE)
+            ) as session:
+                session.run(fbuild, method="exhaustive", space=SPACE)
             return path.read_bytes()
 
         fresh1 = storm(1, "s1.jsonl", journal="journal1.jsonl")

@@ -1,5 +1,8 @@
 """StencilExpr (general tap expression) tests."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,3 +104,82 @@ class TestSymmetricLowering:
     def test_mem_refs_match_closed_form(self, radius):
         expr = symmetric_expr(2 * radius, default_coefficients(radius))
         assert expr.mem_refs_per_point() == 6 * radius + 2
+
+
+def _scan_halo(expr: StencilExpr, grid: int) -> tuple[int, int, int]:
+    """Reference: max |offset| per axis, rescanning every tap."""
+    ext = [0, 0, 0]
+    for tap in expr.all_taps():
+        if tap.grid == grid:
+            for axis in range(3):
+                ext[axis] = max(ext[axis], abs(tap.offset[axis]))
+    return (ext[0], ext[1], ext[2])
+
+
+def _scan_z(expr: StencilExpr, grid: int) -> tuple[int, int]:
+    """Reference: (max backward, max forward) z reach, rescanning."""
+    back = fwd = 0
+    for tap in expr.all_taps():
+        if tap.grid == grid:
+            back = max(back, -tap.offset[2])
+            fwd = max(fwd, tap.offset[2])
+    return (back, fwd)
+
+
+@st.composite
+def exprs(draw) -> StencilExpr:
+    """Random expressions; grids past ``tapped`` are declared, never read."""
+    tapped = draw(st.integers(1, 3))
+    n_grids = tapped + draw(st.integers(0, 2))
+    offsets = st.tuples(*(st.integers(-4, 4),) * 3)
+
+    def tap(grid: int, offset: tuple[int, int, int], by_grid: bool) -> Tap:
+        if by_grid:
+            return Tap(grid=grid, offset=offset, coeff_grid=n_grids - 1)
+        return Tap(grid=grid, offset=offset, coeff=0.5)
+
+    taps = st.builds(tap, st.integers(0, tapped - 1), offsets, st.booleans())
+    outputs = draw(st.lists(st.lists(taps, min_size=1, max_size=6),
+                            min_size=1, max_size=3))
+    return StencilExpr(
+        name="rand",
+        n_grids=n_grids,
+        outputs=tuple(OutputSpec(f"o{i}", tuple(t)) for i, t in enumerate(outputs)),
+    )
+
+
+class TestCachedGeometry:
+    """The per-expression geometry is computed once and must equal a
+    fresh scan of the taps on every grid, tapped or not."""
+
+    @given(expr=exprs())
+    def test_cached_geometry_matches_fresh_scan(self, expr):
+        for _ in range(2):  # first call fills the cache, second reads it
+            for g in range(expr.n_grids):
+                assert expr.halo_extent(g) == _scan_halo(expr, g)
+                assert expr.z_extent(g) == _scan_z(expr, g)
+            assert expr.radius() == max(
+                max(_scan_halo(expr, g)) for g in range(expr.n_grids)
+            )
+
+    def test_untapped_grid_has_no_extent(self):
+        taps = (Tap(grid=0, offset=(2, -1, 3), coeff=1.0),)
+        expr = StencilExpr(name="x", n_grids=2, outputs=(OutputSpec("o", taps),))
+        assert expr.halo_extent(1) == (0, 0, 0)
+        assert expr.z_extent(1) == (0, 0)
+        assert expr.halo_extent(0) == (2, 1, 3)
+        assert expr.z_extent(0) == (0, 3)
+        assert expr.radius() == 3
+
+    @given(expr=exprs())
+    def test_equality_hash_and_pickle_ignore_the_cache(self, expr):
+        twin = copy.deepcopy(expr)
+        cold = pickle.dumps(expr)
+        expr.radius()  # fill the cache on one side only
+        assert expr == twin
+        assert hash(expr) == hash(twin)
+        assert pickle.dumps(expr) == cold == pickle.dumps(twin)
+        clone = pickle.loads(pickle.dumps(expr))
+        assert clone == expr
+        assert "_geometry" not in vars(clone)
+        assert clone.radius() == expr.radius()
