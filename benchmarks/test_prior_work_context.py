@@ -8,7 +8,6 @@ qualitative claims: the tuned in-plane kernels land above the
 bandwidth-extrapolated prior-work numbers the paper quotes.
 """
 
-import pytest
 
 from repro.gpusim.device import get_device
 from repro.harness.runner import tune_family

@@ -9,7 +9,6 @@ CUDA technique) note where the generated-code path picks up for the
 symmetric family.
 """
 
-import numpy as np
 
 import repro
 from repro.harness.runner import FULL_SPACE, THREAD_ONLY_SPACE

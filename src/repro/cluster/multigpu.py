@@ -185,7 +185,7 @@ class MultiGpuStencil:
         baseline shared by every point of a scaling curve)."""
         cached = self._single_time_cache.get(grid_shape)
         if cached is None:
-            cached = executor.run(plan, grid_shape).time_s
+            cached = executor.score(plan, grid_shape).time_s
             self._single_time_cache[grid_shape] = cached
         return cached
 
@@ -218,7 +218,7 @@ class MultiGpuStencil:
         if gpus == 1:
             kernel_time = self._single_step_time(executor, plan, grid_shape)
         else:
-            kernel_time = executor.run(plan, (lx, ly, thickest)).time_s
+            kernel_time = executor.score(plan, (lx, ly, thickest)).time_s
 
         interfaces = gpus - 1
         if interfaces == 0:

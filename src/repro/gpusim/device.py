@@ -14,7 +14,7 @@ same implicitly by being validated against measured runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import UnknownDeviceError
 from repro.gpusim.arch import ArchRules, Generation, rules_for

@@ -33,7 +33,7 @@ relative behaviour under study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.gpusim.arch import WARP_SIZE, Generation
 from repro.gpusim.device import DeviceSpec

@@ -10,7 +10,7 @@ and synchronization like the hardware would for any kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpusim.memory import MemoryStats
 from repro.gpusim.smem import SmemAccessProfile

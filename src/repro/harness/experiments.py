@@ -9,16 +9,15 @@ paper-vs-measured side by side (EXPERIMENTS.md is generated from these).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ResourceLimitError
+from repro.errors import ReproError, ResourceLimitError
 from repro.gpusim.device import PAPER_DEVICES, get_device
 from repro.gpusim.executor import DeviceExecutor
 from repro.harness.runner import (
     FULL_SPACE,
     PAPER_GRID,
-    ExperimentRunner,
     tune_family,
 )
 from repro.kernels.config import BlockConfig
@@ -38,7 +37,7 @@ from repro.stencils.spec import symmetric
 from repro.tuning.modelbased import model_based_tune
 from repro.tuning.space import ParameterSpace
 from repro.utils.charts import bar_chart, grouped_bar_chart
-from repro.utils.tables import format_series, format_table
+from repro.utils.tables import format_table
 
 #: Paper Table IV: (optimal params, MPoint/s, speedup) we compare against.
 PAPER_TABLE4: dict[tuple[str, str, int], tuple[tuple[int, int, int, int], float, float]] = {
@@ -253,8 +252,8 @@ def fig8_surface(
                 if grid[0] % cfg.tile_x or grid[1] % cfg.tile_y:
                     raise ResourceLimitError("partial tiles")
                 plan = make_kernel("inplane_fullslice", spec, cfg)
-                mp = executor.run(plan, grid).mpoints_per_s
-            except Exception:
+                mp = executor.score(plan, grid).mpoints_per_s
+            except ReproError:
                 mp = 0.0
             rows.append((tx, ty, rx, ry, round(mp, 1)))
     return ExperimentResult(
@@ -530,7 +529,7 @@ def high_order_crossover(
                 fs = tune_family(
                     "inplane_fullslice", order, device, dtype=dtype, grid=grid
                 )
-            except Exception:
+            except ReproError:
                 break
             s = speedup(fs.best_mpoints, nv.best_mpoints)
             if s > 1.0:

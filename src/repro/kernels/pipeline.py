@@ -30,7 +30,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.stencils.boundary import check_grid, with_boundary_from
+from repro.stencils.boundary import check_grid
 from repro.stencils.expr import StencilExpr
 from repro.stencils.spec import SymmetricStencil
 

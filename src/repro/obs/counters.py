@@ -1,10 +1,10 @@
 """Hardware-counter analogue — the ``nvprof --metrics`` layer.
 
-One simulated launch yields one :class:`CounterSet`: a frozen,
-schema-validated set of profiler counters (DRAM transactions and
-achieved-bandwidth fraction, load/store efficiency, shared-memory replay
-rate, IPC, the warp-issue stall breakdown, occupancy with its binding
-limiter named).  Every value is derived *mechanistically* from the same
+One report-producing launch (``DeviceExecutor.run``) yields one
+:class:`CounterSet`: a frozen, schema-validated set of profiler counters
+(DRAM transactions and achieved-bandwidth fraction, load/store
+efficiency, shared-memory replay rate, IPC, the warp-issue stall
+breakdown, occupancy with its binding limiter named).  Every value is derived *mechanistically* from the same
 quantities the cycle model priced — the memory enumerators
 (:class:`repro.gpusim.memory.MemoryStats`), the instruction-issue
 breakdown (:func:`repro.gpusim.timing.issue_slots`) and the wave
@@ -126,8 +126,9 @@ def load_efficiency(
     Serviced = transferred lines plus the partition-camping serialization
     surcharge (no L2 discount: the profiler counts the request stream, and
     reuse credits would hide exactly the inefficiency the metric exists to
-    expose).  This is the single source for both
-    ``SimReport.load_efficiency`` and the ``gld_efficiency`` counter.
+    expose).  This is the single source for ``SimReport.load_efficiency``,
+    the ``gld_efficiency`` counter and ``LaunchScore.load_efficiency``
+    (the tuner-grade price, which derives no other counter).
     """
     mem = workload.memory
     eff_loads = (

@@ -12,7 +12,10 @@ module extracts the per-trial measurement into a small protocol:
 
 :class:`SimTrialEvaluator` is the default implementation and reproduces
 the tuners' historical behaviour exactly — a tuner built with
-``evaluator=None`` is bit-identical to the pre-evaluator code path.
+``evaluator=None`` is bit-identical to the pre-evaluator code path.  It
+prices each trial with :meth:`repro.gpusim.executor.DeviceExecutor.score`:
+the rate, load efficiency and occupancy a :class:`TrialOutcome` keeps,
+without deriving the profiler counter set nobody reads during a search.
 :class:`repro.tuning.robust.ResilientEvaluator` wraps it with retries,
 per-config quarantine and a crash-safe journal.
 
@@ -258,20 +261,17 @@ class SimTrialEvaluator:
         block: "BlockWorkload",
     ) -> TrialOutcome:
         try:
-            report = self.executor.run(plan, grid_shape, block=block)
+            score = self.executor.score(plan, grid_shape, block=block)
         except ResourceLimitError:
             return TrialOutcome(config=cfg, status=STATUS_REJECTED_SIMULATED)
-        faults = tuple(
-            str(f.get("kind", "?")) for f in report.meta.get("faults", ())
-        )
         return TrialOutcome(
             config=cfg,
             status=STATUS_OK,
-            mpoints_per_s=report.mpoints_per_s,
+            mpoints_per_s=score.mpoints_per_s,
             info={
-                "load_efficiency": report.load_efficiency,
-                "occupancy": report.occupancy.occupancy,
-                "limiter": report.occupancy.limiter,
+                "load_efficiency": score.load_efficiency,
+                "occupancy": score.occupancy.occupancy,
+                "limiter": score.occupancy.limiter,
             },
-            faults=faults,
+            faults=tuple(str(f.get("kind", "?")) for f in score.faults),
         )

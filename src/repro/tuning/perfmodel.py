@@ -32,7 +32,6 @@ import numpy as np
 from repro.gpusim.arch import WARP_SIZE
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timing import TimingParams, params_for
-from repro.kernels.config import BlockConfig
 from repro.kernels.symmetric import SymmetricKernelPlan
 from repro.utils.maths import ceil_div
 

@@ -15,7 +15,6 @@ from repro.cluster import (
     split_grid,
 )
 from repro.errors import ConfigurationError, GridShapeError
-from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.reference import iterate_symmetric
 from repro.stencils.spec import symmetric
@@ -224,13 +223,15 @@ class TestCostModel:
         from repro.gpusim.executor import DeviceExecutor
 
         shapes = []
-        real_run = DeviceExecutor.run
+        real_launch = DeviceExecutor._launch
 
-        def counting_run(self, plan, grid_shape, *args, **kwargs):
+        # Count launches at the step run() and score() share, whichever
+        # of the two the cost model prices through.
+        def counting_launch(self, plan, grid_shape, *args, **kwargs):
             shapes.append(tuple(grid_shape))
-            return real_run(self, plan, grid_shape, *args, **kwargs)
+            return real_launch(self, plan, grid_shape, *args, **kwargs)
 
-        monkeypatch.setattr(DeviceExecutor, "run", counting_run)
+        monkeypatch.setattr(DeviceExecutor, "_launch", counting_launch)
         sim = MultiGpuStencil(plan_builder(), "gtx580")
         full = (64, 64, 32)
         sim.strong_scaling(full, (1, 2, 4))

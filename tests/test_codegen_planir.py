@@ -21,7 +21,6 @@ from repro.analysis.planir import (
     plan_vector_width,
 )
 from repro.codegen import generate_kernel
-from repro.gpusim.device import get_device
 from repro.kernels.config import BlockConfig
 from repro.kernels.inplane import INPLANE_VARIANTS, InPlaneKernel
 from repro.kernels.multigrid import MultiGridKernel

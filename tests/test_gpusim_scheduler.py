@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gpusim.scheduler import (
-    ScheduleResult,
     greedy_schedule,
     wave_schedule_makespan,
 )

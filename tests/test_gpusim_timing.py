@@ -15,7 +15,6 @@ from repro.gpusim.device import get_device
 from repro.gpusim.memory import KIND_INTERIOR, KIND_WRITE, MemoryStats
 from repro.gpusim.smem import SmemAccessProfile
 from repro.gpusim.timing import (
-    TimingParams,
     effective_load_bytes,
     params_for,
     time_kernel,

@@ -14,7 +14,6 @@ from repro.gpusim.trace import (
     TracedInstruction,
     average_region_trace,
     trace_column_strip,
-    trace_row_region,
 )
 from repro.kernels.layout import GridLayout
 from repro.kernels.loads import add_column_strip, add_row_region

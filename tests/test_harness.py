@@ -19,7 +19,7 @@ from repro.harness import (
     table4_autotune,
 )
 from repro.harness.export import to_csv, to_json, write_result
-from repro.harness.runner import PAPER_GRID, ExperimentRunner, tune_family
+from repro.harness.runner import ExperimentRunner, tune_family
 
 
 class TestRunner:
@@ -108,6 +108,41 @@ class TestFigures:
         )
         speeds = [r[2] for r in res.rows if isinstance(r[1], int)]
         assert speeds[0] > speeds[-1]
+
+
+class TestErrorsPropagate:
+    """Only simulator refusals become zero cells / crossover stops."""
+
+    def test_fig8_surface_does_not_swallow_bugs(self, monkeypatch):
+        import repro.harness.experiments as experiments
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("bug in plan construction")
+
+        monkeypatch.setattr(experiments, "make_kernel", broken)
+        with pytest.raises(RuntimeError, match="bug in plan construction"):
+            fig8_surface(order=2, device="gtx580")
+
+    def test_crossover_does_not_swallow_bugs(self, monkeypatch):
+        import repro.harness.experiments as experiments
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("bug in tuning")
+
+        monkeypatch.setattr(experiments, "tune_family", broken)
+        with pytest.raises(RuntimeError, match="bug in tuning"):
+            high_order_crossover(device="c2070", dtypes=("sp",), orders=(2,))
+
+    def test_crossover_stops_at_an_untunable_order(self, monkeypatch):
+        import repro.harness.experiments as experiments
+        from repro.errors import TuningError
+
+        def untunable(*_args, **_kwargs):
+            raise TuningError("no feasible configuration")
+
+        monkeypatch.setattr(experiments, "tune_family", untunable)
+        res = high_order_crossover(device="c2070", dtypes=("sp",), orders=(2, 4))
+        assert res.rows == [("SP", "last winning order", 0)]
 
 
 class TestExport:

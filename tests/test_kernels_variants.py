@@ -14,7 +14,6 @@ from repro.kernels.blocking3d import Blocking3DKernel
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import KERNEL_FAMILIES, make_kernel
 from repro.kernels.inplane import INPLANE_VARIANTS, InPlaneKernel
-from repro.kernels.naive import NaiveKernel
 from repro.kernels.nvstencil import NvStencilKernel
 from repro.stencils.catalog import redundant_corner_elems
 from repro.stencils.reference import apply_symmetric

@@ -12,7 +12,6 @@ The two headline acceptance properties of the event plane:
 
 import json
 
-import pytest
 
 from repro.cli import main
 from repro.gpusim.faults import FaultPlan

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.solvers import JacobiPoissonSolver, SolveResult, jacobi_spectral_bound
+from repro.solvers import JacobiPoissonSolver, jacobi_spectral_bound
 from repro.workloads import coordinate_polynomial
 
 

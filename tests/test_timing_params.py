@@ -7,7 +7,7 @@ import pytest
 
 from repro.gpusim.device import get_device
 from repro.gpusim.executor import simulate
-from repro.gpusim.timing import TimingParams, params_for
+from repro.gpusim.timing import params_for
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric

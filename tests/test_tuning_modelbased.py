@@ -5,12 +5,10 @@ import math
 import pytest
 
 from repro.errors import TuningError
-from repro.gpusim.device import get_device
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric
 from repro.tuning.exhaustive import exhaustive_tune, feasible_configs
 from repro.tuning.modelbased import model_based_tune
-from repro.tuning.space import ParameterSpace
 
 GRID = (512, 512, 256)
 

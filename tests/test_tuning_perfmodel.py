@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.device import get_device
-from repro.gpusim.timing import TimingParams, params_for
+from repro.gpusim.timing import params_for
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric

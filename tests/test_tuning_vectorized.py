@@ -6,7 +6,6 @@ The evaluator's contract: same outcomes (status, bit-identical rate, same
 """
 
 from repro.gpusim.batch import BatchEngine
-from repro.gpusim.device import get_device
 from repro.kernels.config import BlockConfig
 from repro.kernels.factory import make_kernel
 from repro.stencils.spec import symmetric
